@@ -210,14 +210,18 @@ impl VcPlan {
     /// bit lands in both, which sacrifices the guarantee — the paper
     /// plan's bulk classes have two bits each, so the split is clean).
     fn split_halves(mask: VcMask) -> (VcMask, VcMask) {
-        let bits: Vec<u8> = (0..8).filter(|b| mask.bits() & (1 << b) != 0).collect();
-        if bits.len() < 2 {
+        let bits = mask.bits();
+        if bits.count_ones() < 2 {
             return (mask, mask);
         }
-        let mid = bits.len() / 2;
-        let low = bits[..mid].iter().fold(0u8, |m, b| m | 1 << b);
-        let high = bits[mid..].iter().fold(0u8, |m, b| m | 1 << b);
-        (VcMask::new(low), VcMask::new(high))
+        // The lower half is the lowest `count / 2` set bits.
+        let mut low = 0u8;
+        let mut rest = bits;
+        for _ in 0..bits.count_ones() / 2 {
+            low |= rest & rest.wrapping_neg();
+            rest &= rest - 1;
+        }
+        (VcMask::new(low), VcMask::new(bits & !low))
     }
 
     /// The default VC a packet of `class` is injected on at the tile port
@@ -549,6 +553,26 @@ mod tests {
         assert_eq!(m0.bits(), 0b0000_0011);
         let m1 = p.mask_for(ServiceClass::Bulk, 1, true);
         assert_eq!(m1.bits(), 0b0000_1100);
+    }
+
+    #[test]
+    fn split_halves_matches_listing_the_set_bits() {
+        // The definition: list the set bits, give the lower half of the
+        // list to the low mask and the rest to the high one.
+        fn by_listing(mask: VcMask) -> (VcMask, VcMask) {
+            let bits: Vec<u8> = (0..8).filter(|b| mask.bits() & (1 << b) != 0).collect();
+            if bits.len() < 2 {
+                return (mask, mask);
+            }
+            let mid = bits.len() / 2;
+            let low = bits[..mid].iter().fold(0u8, |m, b| m | 1 << b);
+            let high = bits[mid..].iter().fold(0u8, |m, b| m | 1 << b);
+            (VcMask::new(low), VcMask::new(high))
+        }
+        for bits in 0..=u8::MAX {
+            let mask = VcMask::new(bits);
+            assert_eq!(VcPlan::split_halves(mask), by_listing(mask), "{mask:?}");
+        }
     }
 
     #[test]
