@@ -389,7 +389,7 @@ impl Network {
         self.shared.lookahead_window()
     }
 
-    /// Exclusive per-cell handles for a threaded shard runner. Each
+    /// Exclusive per-cell handles for a run loop (one worker per cell). Each
     /// handle steps its cell independently for up to
     /// [`Self::lookahead_window`] cycles; boundary messages taken from
     /// one handle must be applied to their destination cell before any
@@ -407,8 +407,9 @@ impl Network {
             .collect()
     }
 
-    /// Records the cycle an external (threaded) shard run advanced the
-    /// cells to, so `stats()`, `cycle()`, and probe finalization see it.
+    /// Records the cycle a run through [`Self::shard_handles`] advanced
+    /// the cells to, so `stats()`, `cycle()`, and probe finalization
+    /// see it.
     pub fn finish_sharded_run(&mut self, cycle: Cycle) {
         debug_assert!(
             self.cells.iter().all(|c| c.outbox.is_empty()),
@@ -427,11 +428,6 @@ impl Network {
     /// Detaches and returns the probe, if one is attached.
     pub fn take_probe(&mut self) -> Option<NetworkProbe> {
         self.probe.take().map(|b| *b)
-    }
-
-    /// The attached probe, if any.
-    pub fn probe(&self) -> Option<&NetworkProbe> {
-        self.probe.as_deref()
     }
 
     /// The active configuration.

@@ -1,8 +1,8 @@
 //! Sharded execution internals: the network's state partitioned into
 //! contiguous tile-region cells, the boundary messages exchanged
-//! between them, and the per-phase stepping functions shared by the
-//! sequential engine ([`crate::Network::step`]) and the threaded shard
-//! runner (`ocin-sim`'s `ShardedSimulation`).
+//! between them, and the per-phase stepping functions shared by
+//! [`crate::Network::step`] and the run loop that steps cells through
+//! [`ShardHandle`]s (`ocin-sim`'s `Simulation` and `ShardedSimulation`).
 //!
 //! # Why sharding preserves bit-identity (DESIGN.md §3.15)
 //!
@@ -32,7 +32,7 @@ use crate::flit::{
 use crate::ids::{Cycle, Direction, NodeId, PacketId, Port, VcId};
 use crate::interface::{DeliveredPacket, TileInterface};
 use crate::network::PacketSpec;
-use crate::probe::{NoProbe, Probe};
+use crate::probe::{NetworkProbe, NoProbe, Probe};
 use crate::reservation::ReservationTable;
 use crate::route::{RouteError, SourceRoute};
 use crate::router::{EvalEnv, RouterCore, RouterOutput};
@@ -1121,11 +1121,11 @@ pub(crate) fn flitize(
     flits
 }
 
-// ── Threaded-runner surface ───────────────────────────────────────────
+// ── Run-loop surface ──────────────────────────────────────────────────
 
 /// An exclusive handle on one cell, borrowing the shared state
-/// immutably: the disjoint-ownership seam the threaded shard runner
-/// steps cells through in parallel. Obtained from
+/// immutably: the disjoint-ownership seam the run loop steps cells
+/// through, in parallel when there are several. Obtained from
 /// [`crate::Network::shard_handles`].
 pub struct ShardHandle<'a> {
     pub(crate) shared: &'a NetShared,
@@ -1220,15 +1220,23 @@ impl ShardHandle<'_> {
     }
 
     /// Snapshot of this cell's energy-counter contributions. Summing
-    /// the integer fields and left-folding the per-link `bit_pitches`
-    /// vectors in cell order reproduces the sequential
-    /// `NetworkStats::energy` bit-for-bit (same additions, same order).
+    /// the integer fields and left-folding the `bit_pitches` vectors in
+    /// cell order reproduces the sequential `NetworkStats::energy`
+    /// bit-for-bit (same additions, same order).
     pub fn energy_snapshot(&self) -> CellEnergySnapshot {
+        let per_link = &self.cell.tx_bit_pitches;
+        // The first cell's links open the fold from zero, so its part of
+        // it is already final and one value stands for all of them.
+        let bit_pitches = if self.cell_index() == 0 {
+            vec![per_link.iter().fold(0.0, |sum, &bp| sum + bp)]
+        } else {
+            per_link.clone()
+        };
         CellEnergySnapshot {
             flit_hops: self.cell.stats.flit_hops,
             hop_bits: self.cell.stats.hop_bits,
             link_flits: self.cell.tx_flits_carried.iter().sum(),
-            bit_pitches: self.cell.tx_bit_pitches.clone(),
+            bit_pitches,
         }
     }
 }
@@ -1243,7 +1251,8 @@ pub struct CellEnergySnapshot {
     pub hop_bits: u64,
     /// Flits carried by this cell's transmit halves.
     pub link_flits: u64,
-    /// Per-transmit-half bit×pitch accumulators, in global tx order.
+    /// Per-transmit-half bit×pitch accumulators, in global tx order;
+    /// for the first cell, their left fold from zero as one value.
     pub bit_pitches: Vec<f64>,
 }
 
@@ -1257,6 +1266,12 @@ pub trait PhasedProbe: Probe {
 }
 
 impl PhasedProbe for NoProbe {
+    fn set_phase(&mut self, _now: Cycle, _phase: u8) {}
+}
+
+/// A lone cell's events already arrive in single-cell order, so the
+/// run's probe takes them directly and ignores the context.
+impl PhasedProbe for NetworkProbe {
     fn set_phase(&mut self, _now: Cycle, _phase: u8) {}
 }
 

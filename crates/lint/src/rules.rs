@@ -173,7 +173,7 @@ pub fn all_rules() -> Vec<Rule> {
         },
         Rule {
             name: "raw-thread-spawn",
-            summary: "std::thread::spawn/scope outside the sanctioned parallel seams",
+            summary: "std::thread::spawn/scope outside the sanctioned parallel seam",
             patterns: &["thread::spawn", "thread::scope"],
             include: &["crates/", "src/", "tests/", "examples/"],
             exclude: &["crates/sim/src/exec.rs"],
@@ -181,9 +181,9 @@ pub fn all_rules() -> Vec<Rule> {
             suppression: Suppression::AllowComment,
             advice: "all parallelism must flow through the executor seam \
                      (crates/sim/src/exec.rs, DESIGN.md \u{a7}3.18): SimPool \
-                     batches, ShardedSimulation, and MultiChipSim all borrow \
-                     its scoped workers; ad-hoc threads reintroduce \
-                     scheduling-dependent behaviour",
+                     batches and the run loop's shard workers both borrow \
+                     its scoped workers via exec::run_scoped; ad-hoc threads \
+                     reintroduce scheduling-dependent behaviour",
         },
         Rule {
             name: "ungated-telemetry-record",

@@ -44,11 +44,10 @@
 //! # Thread-spawn seam
 //!
 //! This module is the **only** sanctioned `thread::scope` site in the
-//! workspace (enforced by ocin-lint's `raw-thread-spawn` rule):
-//! [`run_scoped`] executes a finished set of tasks, and [`run_with`] runs
-//! persistent workers alongside a coordinator on the calling thread
-//! (used by [`crate::multichip::MultiChipSim`]'s parallel stepping).
-//! `SimPool` and `ShardedSimulation` both borrow their threads from here.
+//! workspace (enforced by ocin-lint's `raw-thread-spawn` rule), and
+//! [`run_scoped`] is its one spawn primitive: it executes a finished set
+//! of tasks. `SimPool` and the run loop (`Simulation` and
+//! `ShardedSimulation`) both borrow their threads from here.
 
 use crate::pool::PointSpec;
 use crate::sweep::LoadPoint;
@@ -69,7 +68,7 @@ pub fn exec_workers_from_env() -> Option<usize> {
 
 /// The machine's available parallelism, overridden by
 /// [`exec_workers_from_env`] when set. The default worker budget for
-/// [`Executor::from_env`], `SimPool::new`, and multichip stepping.
+/// [`Executor::from_env`] and `SimPool::new`.
 pub fn default_workers() -> usize {
     exec_workers_from_env()
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
@@ -104,32 +103,6 @@ where
                 .collect()
         }),
     }
-}
-
-/// Spawns `workers` on scoped threads, runs `coordinator` on the calling
-/// thread, and joins everything: returns `(worker results in task order,
-/// coordinator result)`. The coordinator is responsible for telling the
-/// workers to finish (via whatever shared protocol the caller set up)
-/// before it returns, or the scope will never close.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_with<T, R, F, M>(workers: Vec<F>, coordinator: M) -> (Vec<T>, R)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-    M: FnOnce() -> R,
-{
-    std::thread::scope(|s| {
-        let joins: Vec<_> = workers.into_iter().map(|f| s.spawn(f)).collect();
-        let out = coordinator();
-        let results = joins
-            .into_iter()
-            .map(|j| j.join().expect("executor worker panicked"))
-            .collect();
-        (results, out)
-    })
 }
 
 /// The largest shard count worth giving a network of `num_nodes` nodes.
@@ -391,26 +364,6 @@ mod tests {
             })
             .collect();
         assert_eq!(run_scoped(tasks), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn run_with_joins_workers_and_coordinator() {
-        let flag = std::sync::atomic::AtomicUsize::new(0);
-        let (results, main) = run_with(
-            (0..3)
-                .map(|i| {
-                    let flag = &flag;
-                    move || {
-                        flag.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        i * 2
-                    }
-                })
-                .collect(),
-            || 99,
-        );
-        assert_eq!(results, vec![0, 2, 4]);
-        assert_eq!(main, 99);
-        assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The workload-driven simulation runner: warmup, measurement, drain.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use ocin_core::ids::{FlowId, NodeId};
+use ocin_core::ids::FlowId;
 use ocin_core::interface::DeliveredPacket;
-use ocin_core::network::{EnergyCounters, Network, PacketSpec};
-use ocin_core::probe::{NetworkMetrics, NetworkProbe, ProbeConfig};
+use ocin_core::network::{EnergyCounters, Network};
+use ocin_core::probe::{NetworkMetrics, ProbeConfig};
 use ocin_core::reservation::StaticFlowSpec;
 use ocin_core::{Error, NetworkConfig};
 use ocin_traffic::{MatrixGenerator, TrafficMatrix, Workload, WorkloadGenerator};
@@ -110,11 +110,12 @@ pub struct SimReport {
     pub metrics: Option<NetworkMetrics>,
 }
 
-/// Measurement-window accumulator shared by the sequential and sharded
-/// runners. Deliveries must be fed in the sequential collection order
-/// (cycle-major, then node-ascending) so latency sample streams — and
-/// therefore every percentile in the report — are bit-identical across
-/// engines.
+/// Measurement-window accumulator: one per run-loop worker, merged in
+/// cell order when the run ends. Every statistic the report draws from
+/// it is independent of the order samples arrive in — percentiles sort
+/// their samples, min, max and count are order-free, and the means are
+/// sums of integer-valued `f64` latencies, exact in any order below
+/// 2^53 — so the report is bit-identical at any cell count.
 #[derive(Debug, Default)]
 pub(crate) struct MeasureAcc {
     pub(crate) lat_net: Samples,
@@ -158,21 +159,42 @@ impl MeasureAcc {
         }
         true
     }
+
+    /// Folds another worker's accumulator into this one.
+    pub(crate) fn merge(&mut self, mut other: MeasureAcc) {
+        self.lat_net.append(&mut other.lat_net);
+        self.lat_total.append(&mut other.lat_total);
+        for (class, mut samples) in other.class_samples {
+            self.class_samples
+                .entry(class)
+                .or_default()
+                .append(&mut samples);
+        }
+        for (flow, mut samples) in other.flow_samples {
+            self.flow_samples
+                .entry(flow)
+                .or_default()
+                .append(&mut samples);
+        }
+        self.delivered_flits += other.delivered_flits;
+        self.delivered_packets += other.delivered_packets;
+    }
 }
 
-/// Scalar run totals fed into [`assemble_report`] — the same four
-/// values whichever engine (sequential or sharded) produced them.
+/// Scalar run totals fed into [`assemble_report`].
 #[derive(Clone, Copy)]
 pub(crate) struct RunTotals {
     pub injected_packets: u64,
     pub unfinished_packets: u64,
     pub energy_start: EnergyCounters,
-    pub energy_end: EnergyCounters,
+    /// Energy when the measurement window closed (or the run exited
+    /// first); `None` if the run never reached either, which leaves the
+    /// window's energy at zero.
+    pub energy_end: Option<EnergyCounters>,
 }
 
 /// Builds the final [`SimReport`] from a finished network and the
-/// measurement accumulator — the single place where report math lives,
-/// so the sequential and sharded engines cannot drift apart.
+/// measurement accumulator — the single place where report math lives.
 pub(crate) fn assemble_report(
     net: &Network,
     cfg: &SimConfig,
@@ -187,6 +209,7 @@ pub(crate) fn assemble_report(
         energy_start,
         energy_end,
     } = totals;
+    let energy_end = energy_end.unwrap_or(energy_start);
     let n = net.topology().num_nodes();
     let stats = net.stats();
     let loads = net.link_loads();
@@ -243,10 +266,6 @@ pub struct Simulation {
     pub(crate) generator: Option<WorkloadGenerator>,
     pub(crate) matrix: Option<MatrixGenerator>,
     pub(crate) offered_rate: f64,
-    /// Per-node source queues holding offered packets the tile port has
-    /// not yet accepted (unbounded, so offered load is preserved even
-    /// past saturation).
-    pub(crate) pending: Vec<VecDeque<PacketSpec>>,
     pub(crate) flows: Vec<(FlowId, StaticFlowSpec)>,
     pub(crate) reservation_period: u64,
     pub(crate) probe_cfg: Option<ProbeConfig>,
@@ -261,7 +280,6 @@ impl Simulation {
     pub fn new(net_cfg: NetworkConfig, cfg: SimConfig) -> Result<Simulation, Error> {
         let reservation_period = net_cfg.reservation_period;
         let net = Network::new(net_cfg)?;
-        let n = net.topology().num_nodes();
         let flows = net
             .reservation_table()
             .map(|t| t.flows().iter().map(|f| (f.id, f.spec)).collect::<Vec<_>>())
@@ -272,7 +290,6 @@ impl Simulation {
             generator: None,
             matrix: None,
             offered_rate: 0.0,
-            pending: vec![VecDeque::new(); n],
             flows,
             reservation_period,
             probe_cfg: None,
@@ -309,125 +326,16 @@ impl Simulation {
         &mut self.net
     }
 
-    /// Runs warmup, measurement, and drain; returns the report.
+    /// Runs warmup, measurement, and drain from the network's current
+    /// cycle; returns the report. Offered packets the tile port has not
+    /// yet accepted wait in unbounded per-node source queues, so offered
+    /// load is preserved even past saturation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload produces an unroutable packet.
     pub fn run(&mut self) -> SimReport {
-        if let Some(pc) = self.probe_cfg {
-            self.net
-                .attach_probe(NetworkProbe::for_network(self.net.config(), pc));
-        }
-        let warm_end = self.cfg.warmup_cycles;
-        let meas_end = warm_end + self.cfg.measure_cycles;
-        let hard_end = meas_end + self.cfg.drain_cycles;
-
-        let mut acc = MeasureAcc::default();
-        let mut injected_packets = 0u64;
-        let mut energy_start = EnergyCounters::default();
-        let mut energy_end = EnergyCounters::default();
-        let mut measured_outstanding: u64 = 0;
-
-        let n = self.net.topology().num_nodes();
-        loop {
-            let now = self.net.cycle();
-            if now == warm_end {
-                energy_start = self.net.stats().energy;
-            }
-            if now == meas_end {
-                energy_end = self.net.stats().energy;
-            }
-            if now >= hard_end {
-                break;
-            }
-
-            // Offer static-flow packets at their phases.
-            if now < meas_end {
-                for (id, spec) in &self.flows {
-                    if now % self.reservation_period == spec.phase {
-                        let ps = PacketSpec::new(spec.src, spec.dst)
-                            .payload_bits(spec.payload_bits.max(1))
-                            .flow(*id);
-                        self.pending[spec.src.index()].push_back(ps);
-                    }
-                }
-                // Offer dynamic packets.
-                if let Some(generation) = self.generator.as_mut() {
-                    for node in 0..n {
-                        if let Some(req) = generation.next_request(now, NodeId::new(node as u16)) {
-                            self.pending[node].push_back(
-                                PacketSpec::new(NodeId::new(node as u16), req.dst)
-                                    .payload_bits(req.payload_bits)
-                                    .class(req.class),
-                            );
-                        }
-                    }
-                }
-                if let Some(matrix) = self.matrix.as_mut() {
-                    for node in 0..n {
-                        for req in matrix.requests_for(NodeId::new(node as u16)) {
-                            self.pending[node].push_back(
-                                PacketSpec::new(NodeId::new(node as u16), req.dst)
-                                    .payload_bits(req.payload_bits)
-                                    .class(req.class),
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Drain source queues into the tile ports.
-            let in_window = now >= warm_end && now < meas_end;
-            for node in 0..n {
-                while let Some(spec) = self.pending[node].front() {
-                    match self.net.inject(spec) {
-                        Ok(_) => {
-                            self.pending[node].pop_front();
-                            if in_window {
-                                injected_packets += 1;
-                                measured_outstanding += 1;
-                            }
-                        }
-                        Err(Error::InjectionBackpressure { .. }) => break,
-                        Err(e) => panic!("workload produced an unroutable packet: {e}"),
-                    }
-                }
-            }
-
-            self.net.step();
-
-            // Collect deliveries.
-            for node in 0..n {
-                for pkt in self.net.drain_delivered(NodeId::new(node as u16)) {
-                    if acc.on_delivered(&pkt, warm_end, meas_end) {
-                        measured_outstanding = measured_outstanding.saturating_sub(1);
-                    }
-                }
-            }
-
-            let now = self.net.cycle();
-            if now >= hard_end || (now >= meas_end && measured_outstanding == 0) {
-                if energy_end == EnergyCounters::default() {
-                    energy_end = self.net.stats().energy;
-                }
-                break;
-            }
-        }
-
-        let metrics = self
-            .net
-            .take_probe()
-            .map(|p| p.into_metrics(self.net.cycle()));
-        assemble_report(
-            &self.net,
-            &self.cfg,
-            self.offered_rate,
-            &mut acc,
-            RunTotals {
-                injected_packets,
-                unfinished_packets: measured_outstanding,
-                energy_start,
-                energy_end,
-            },
-            metrics,
-        )
+        crate::shard::run_cells(self, 1)
     }
 
     /// Measured energy events per delivered packet: `(hop_bits,

@@ -1,35 +1,39 @@
-//! Deterministic sharded execution of one simulation run.
+//! The run loop: deterministic, optionally sharded execution of one
+//! simulation run.
 //!
-//! [`ShardedSimulation`] steps a single [`Simulation`] on several worker
-//! threads — one per contiguous tile-region cell cut by
-//! [`Network::set_shards`] — using conservative synchronization: every
-//! channel has at least one cycle of latency, so each cell can step a
-//! lookahead window of [`Network::lookahead_window`] cycles before any
-//! boundary flit or credit created by a neighbour could possibly arrive.
-//! At each window boundary the workers exchange boundary messages
-//! through per-pair mailboxes and agree on the harness exit condition
-//! via per-cycle injection/delivery tallies, then continue.
+//! Every run — [`Simulation::run`] and [`ShardedSimulation::run`] alike
+//! — steps the network's contiguous tile-region cells (cut by
+//! [`Network::set_shards`]) through their [`ShardHandle`]s, one worker
+//! per cell; the sequential run is simply the one-cell case. Several
+//! cells use conservative synchronization: every channel has at least
+//! one cycle of latency, so each cell can step a lookahead window of
+//! [`Network::lookahead_window`] cycles before any boundary flit or
+//! credit created by a neighbour could possibly arrive. At each window
+//! boundary the workers exchange boundary messages through per-pair
+//! mailboxes and agree on the harness exit condition via per-cycle
+//! injection/delivery tallies, then continue.
 //!
-//! The result is bit-identical to [`Simulation::run`]: the same
-//! [`SimReport`], the same probe metrics, the same journey exports,
-//! regardless of shard count or thread scheduling. Every source of
-//! nondeterminism is removed structurally rather than tolerated:
+//! The result is the same [`SimReport`], the same probe metrics and the
+//! same journey exports at any shard count and under any thread
+//! scheduling. Every source of nondeterminism is removed structurally
+//! rather than tolerated:
 //!
 //! * workload draws come from per-node (and per-matrix-row) RNG
-//!   streams, so each worker's cloned generator reproduces exactly the
-//!   draws the sequential harness would have made for its nodes;
-//! * deliveries are merged by a stable sort on delivery cycle, which
-//!   restores the sequential cycle-major, node-ascending collection
-//!   order because each worker drains its own (ascending) node range
-//!   every cycle;
-//! * probe callbacks are recorded per worker into [`LogProbe`] event
-//!   logs and replayed through one [`NetworkProbe`] in sequential order
-//!   by [`replay_logs`];
+//!   streams, so a worker driving a clone of the generator reproduces
+//!   exactly the draws a single cell would have made for its nodes
+//!   (the first cell drives the original);
+//! * each worker folds its deliveries into its own measurement
+//!   accumulator; the report's statistics do not depend on sample order
+//!   (see `MeasureAcc`), so the accumulators merge in cell order;
+//! * probe callbacks of several cells are recorded per worker into
+//!   [`LogProbe`] event logs and replayed through one [`NetworkProbe`]
+//!   in single-cell order by [`replay_logs`]; a lone cell drives the
+//!   [`NetworkProbe`] directly;
 //! * the measured-outstanding exit counter is replicated on every
 //!   worker from the shared per-cycle tallies, so all workers take the
-//!   same exit decision on the same cycle the sequential loop would;
+//!   same exit decision on the same cycle a single cell would;
 //! * energy-counter landmarks are cell-local snapshots summed in cell
-//!   order, reproducing the sequential float-accumulation order.
+//!   order, reproducing the single-cell float-accumulation order.
 //!
 //! See DESIGN.md §3.15 for the lookahead-window argument.
 
@@ -37,12 +41,11 @@ use std::collections::VecDeque;
 use std::sync::{Barrier, Mutex};
 
 use ocin_core::ids::{FlowId, NodeId};
-use ocin_core::interface::DeliveredPacket;
 use ocin_core::network::{EnergyCounters, Network, PacketSpec};
 use ocin_core::probe::NetworkProbe;
 use ocin_core::reservation::StaticFlowSpec;
 use ocin_core::{
-    replay_logs, BoundaryMsg, CellEnergySnapshot, Error, LogEvent, LogProbe, NoProbe, PhasedProbe,
+    replay_logs, BoundaryMsg, CellEnergySnapshot, Error, LogProbe, NoProbe, PhasedProbe,
     ShardHandle,
 };
 use ocin_traffic::{MatrixGenerator, WorkloadGenerator};
@@ -64,8 +67,8 @@ pub fn shards_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// A [`Simulation`] stepped across worker threads, bit-identical to the
-/// sequential runner at any shard count.
+/// A [`Simulation`] stepped across worker threads, bit-identical to
+/// [`Simulation::run`] at any shard count.
 pub struct ShardedSimulation {
     sim: Simulation,
     shards: usize,
@@ -103,136 +106,132 @@ impl ShardedSimulation {
     /// # Panics
     ///
     /// Panics if the workload produces an unroutable packet or a worker
-    /// thread panics — the same conditions that abort the sequential
-    /// runner.
+    /// thread panics.
     pub fn run(&mut self) -> SimReport {
-        if self.shards <= 1 {
-            return self.sim.run();
-        }
-        let probed = self.sim.probe_cfg.is_some();
-        if probed {
-            self.run_sharded::<LogProbe>()
-        } else {
-            self.run_sharded::<NoProbe>()
-        }
+        run_cells(&mut self.sim, self.shards)
     }
+}
 
-    fn run_sharded<P: WorkerProbe>(&mut self) -> SimReport {
-        let warm_end = self.sim.cfg.warmup_cycles;
-        let meas_end = warm_end + self.sim.cfg.measure_cycles;
-        let hard_end = meas_end + self.sim.cfg.drain_cycles;
-
-        self.sim.net.set_shards(self.shards);
-        let shards = self.sim.net.shards();
-        let cfg = WorkerCfg {
-            warm_end,
-            meas_end,
-            hard_end,
-            window: self.sim.net.lookahead_window(),
-            reservation_period: self.sim.reservation_period,
-        };
-        let ctx = SyncCtx::new(shards);
-        let flows = &self.sim.flows;
-        let generator = &self.sim.generator;
-        let matrix = &self.sim.matrix;
-
-        // Threads are borrowed from the executor seam (`exec.rs`), the
-        // workspace's one sanctioned spawn site; results come back in
-        // cell order regardless of finish order.
-        let handles = self.sim.net.shard_handles();
-        let mut outs: Vec<WorkerOut> = crate::exec::run_scoped(
-            handles
-                .into_iter()
-                .map(|h| {
-                    let ctx = &ctx;
-                    let flows = flows.clone();
-                    let generator = generator.clone();
-                    let matrix = matrix.clone();
-                    move || worker_loop::<P>(h, ctx, cfg, flows, generator, matrix)
-                })
-                .collect(),
-        );
-
-        let end_cycle = outs[0].end_cycle;
-        self.sim.net.finish_sharded_run(end_cycle);
-
-        let injected_packets: u64 = outs.iter().map(|o| o.injected_measured).sum();
-        let unfinished_packets = outs[0].outstanding;
-        let energy_start = sum_snaps(outs.iter().map(|o| o.warm_snap.as_ref())).unwrap_or_default();
-        let mut energy_end =
-            sum_snaps(outs.iter().map(|o| o.meas_snap.as_ref())).unwrap_or_default();
-        if energy_end == EnergyCounters::default() {
-            if let Some(e) = sum_snaps(outs.iter().map(|o| o.exit_snap.as_ref())) {
-                energy_end = e;
-            }
+/// The one run loop behind [`Simulation::run`] (one cell) and
+/// [`ShardedSimulation::run`]: cuts the network into `shards` cells,
+/// steps each through its [`ShardHandle`] on its own worker, and folds
+/// the workers' results into the report. The run starts at the
+/// network's current cycle, so a network stepped beforehand keeps its
+/// phase landmarks at any shard count.
+pub(crate) fn run_cells(sim: &mut Simulation, shards: usize) -> SimReport {
+    sim.net.set_shards(shards);
+    let cells = sim.net.shards();
+    let (outs, probe) = match sim.probe_cfg {
+        None => (
+            step_cells(sim, (0..cells).map(|_| NoProbe).collect()).0,
+            None,
+        ),
+        // A lone cell drives the run's probe directly.
+        Some(pc) if cells == 1 => {
+            let probe = NetworkProbe::for_network(sim.net.config(), pc);
+            let (outs, mut probes) = step_cells(sim, vec![probe]);
+            (outs, probes.pop())
         }
-
-        // Concatenating per-worker delivery logs in cell order and
-        // stable-sorting by delivery cycle restores the sequential
-        // collection order: within a cycle each worker's packets are
-        // already node-ascending, and cells own ascending node ranges.
-        let mut delivered: Vec<DeliveredPacket> = Vec::new();
-        for o in &mut outs {
-            delivered.append(&mut o.delivered);
-        }
-        delivered.sort_by_key(|p| p.delivered_at);
-        let mut acc = MeasureAcc::default();
-        for pkt in &delivered {
-            acc.on_delivered(pkt, warm_end, meas_end);
-        }
-
-        let metrics = self.sim.probe_cfg.map(|pc| {
-            let mut probe = NetworkProbe::for_network(self.sim.net.config(), pc);
-            let logs: Vec<_> = outs.into_iter().map(|o| o.log).collect();
+        // Several cells log their probe events for an ordered replay.
+        Some(pc) => {
+            let logs = (0..cells).map(|_| LogProbe::default()).collect();
+            let (outs, logs) = step_cells(sim, logs);
+            let logs: Vec<_> = logs.into_iter().map(LogProbe::into_events).collect();
+            let mut probe = NetworkProbe::for_network(sim.net.config(), pc);
             replay_logs(&logs, &mut probe);
-            probe.into_metrics(end_cycle)
-        });
+            (outs, Some(probe))
+        }
+    };
 
-        assemble_report(
-            &self.sim.net,
-            &self.sim.cfg,
-            self.sim.offered_rate,
-            &mut acc,
-            RunTotals {
-                injected_packets,
-                unfinished_packets,
-                energy_start,
-                energy_end,
-            },
-            metrics,
-        )
+    let end_cycle = outs[0].end_cycle;
+    sim.net.finish_sharded_run(end_cycle);
+    let energy_start = sum_snaps(outs.iter().map(|o| o.warm_snap.as_ref())).unwrap_or_default();
+    let energy_end = sum_snaps(outs.iter().map(|o| o.end_snap.as_ref()));
+    let totals = RunTotals {
+        injected_packets: outs.iter().map(|o| o.injected_measured).sum(),
+        unfinished_packets: outs[0].outstanding,
+        energy_start,
+        energy_end,
+    };
+    // Every report statistic is independent of sample order (see
+    // `MeasureAcc`), so the cells' accumulators simply concatenate onto
+    // the first (a lone cell's moves over without a copy).
+    let mut accs = outs.into_iter().map(|o| o.acc);
+    let mut acc = accs.next().expect("a network has at least one cell");
+    for other in accs {
+        acc.merge(other);
     }
+    let metrics = probe.map(|p| p.into_metrics(end_cycle));
+    assemble_report(
+        &sim.net,
+        &sim.cfg,
+        sim.offered_rate,
+        &mut acc,
+        totals,
+        metrics,
+    )
 }
 
-/// Worker-side probe plumbing: the probed engine records [`LogProbe`]
-/// events for post-run replay; the unprobed engine records nothing.
-trait WorkerProbe: PhasedProbe + Default + Send {
-    const ENABLED: bool;
-    fn into_log(self) -> Vec<LogEvent>;
-}
-
-impl WorkerProbe for NoProbe {
-    const ENABLED: bool = false;
-    fn into_log(self) -> Vec<LogEvent> {
-        Vec::new()
+/// Steps every cell of `sim`'s network to the end of the run, each on
+/// its own executor task with its own probe, and returns the workers'
+/// results and probes in cell order.
+fn step_cells<P: PhasedProbe + Send>(
+    sim: &mut Simulation,
+    probes: Vec<P>,
+) -> (Vec<WorkerOut>, Vec<P>) {
+    let warm_end = sim.cfg.warmup_cycles;
+    let meas_end = warm_end + sim.cfg.measure_cycles;
+    let cfg = WorkerCfg {
+        start: sim.net.cycle(),
+        warm_end,
+        meas_end,
+        hard_end: meas_end + sim.cfg.drain_cycles,
+        window: sim.net.lookahead_window(),
+        reservation_period: sim.reservation_period,
+        sample: sim.probe_cfg.is_some(),
+    };
+    let handles = sim.net.shard_handles();
+    let ctx = SyncCtx::new(handles.len());
+    // The first cell drives the simulation's own generators, the others
+    // clones of them. The run consumes them: a later run starts past the
+    // measurement window, where nothing is generated.
+    let mut feeds = vec![(sim.generator.take(), sim.matrix.take())];
+    for _ in 1..handles.len() {
+        feeds.push(feeds[0].clone());
     }
-}
-
-impl WorkerProbe for LogProbe {
-    const ENABLED: bool = true;
-    fn into_log(self) -> Vec<LogEvent> {
-        self.into_events()
-    }
+    let flows = &sim.flows;
+    // Threads are borrowed from the executor seam (`exec.rs`), the
+    // workspace's one sanctioned spawn site; results come back in cell
+    // order regardless of finish order, and a lone task runs inline.
+    crate::exec::run_scoped(
+        handles
+            .into_iter()
+            .zip(probes)
+            .zip(feeds)
+            .map(|((h, mut probe), (generator, matrix))| {
+                let ctx = &ctx;
+                move || {
+                    let out = worker_loop(h, ctx, cfg, flows, generator, matrix, &mut probe);
+                    (out, probe)
+                }
+            })
+            .collect(),
+    )
+    .into_iter()
+    .unzip()
 }
 
 /// Immutable per-run parameters copied into every worker.
 #[derive(Debug, Clone, Copy)]
 struct WorkerCfg {
+    start: u64,
     warm_end: u64,
     meas_end: u64,
     hard_end: u64,
     window: u64,
     reservation_period: u64,
+    /// Run the probe-only buffer-occupancy sweep each cycle.
+    sample: bool,
 }
 
 /// Barrier-window synchronization state shared by all workers.
@@ -259,67 +258,111 @@ impl SyncCtx {
             tallies: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
+
+    /// The window-boundary exchange for worker `h` after stepping up to
+    /// `wend`: publishes its boundary messages and `tallies`, waits for
+    /// every peer, applies the inbound messages (source order fixes the
+    /// application order), and replaces `tallies` with the per-cycle
+    /// sums over all workers.
+    fn exchange(&self, h: &mut ShardHandle<'_>, tallies: &mut Vec<(u64, u64)>, wend: u64) {
+        let me = h.cell_index();
+        let shards = self.tallies.len();
+        for m in h.take_outbox() {
+            self.mailboxes[m.dest_cell()][me]
+                .lock()
+                .expect("a peer worker panicked")
+                .push(m);
+        }
+        // Publish this window's tallies, taking back the buffer published
+        // last window for reuse.
+        let cycles = tallies.len();
+        std::mem::swap(
+            &mut *self.tallies[me].lock().expect("a peer worker panicked"),
+            tallies,
+        );
+        self.barrier.wait();
+
+        for src in 0..shards {
+            let msgs = std::mem::take(
+                &mut *self.mailboxes[me][src]
+                    .lock()
+                    .expect("a peer worker panicked"),
+            );
+            h.apply_boundary(msgs, wend - 1);
+        }
+        tallies.clear();
+        tallies.resize(cycles, (0, 0));
+        for w in 0..shards {
+            let tw = self.tallies[w].lock().expect("a peer worker panicked");
+            for (sum, t) in tallies.iter_mut().zip(tw.iter()) {
+                sum.0 += t.0;
+                sum.1 += t.1;
+            }
+        }
+    }
 }
 
 /// What one worker hands back to the main thread.
 struct WorkerOut {
-    delivered: Vec<DeliveredPacket>,
-    log: Vec<LogEvent>,
+    /// Measured-window statistics of the deliveries at this cell's
+    /// nodes.
+    acc: MeasureAcc,
     injected_measured: u64,
     outstanding: u64,
     warm_snap: Option<CellEnergySnapshot>,
-    meas_snap: Option<CellEnergySnapshot>,
-    exit_snap: Option<CellEnergySnapshot>,
+    /// Energy at the end of the measurement window: the `meas_end`
+    /// snapshot, or the exit snapshot when the run ended first.
+    end_snap: Option<CellEnergySnapshot>,
     end_cycle: u64,
 }
 
-fn worker_loop<P: WorkerProbe>(
+/// One cell's whole run: offers its nodes' traffic, injects, steps and
+/// drains cycle by cycle, synchronizing with its peers through `ctx` at
+/// every window boundary.
+fn worker_loop<P: PhasedProbe>(
     mut h: ShardHandle<'_>,
     ctx: &SyncCtx,
     cfg: WorkerCfg,
-    flows: Vec<(FlowId, StaticFlowSpec)>,
+    flows: &[(FlowId, StaticFlowSpec)],
     mut generator: Option<WorkloadGenerator>,
     mut matrix: Option<MatrixGenerator>,
+    probe: &mut P,
 ) -> WorkerOut {
-    let me = h.cell_index();
-    let shards = ctx.tallies.len();
-    let base = h.nodes().start;
-    let owned: Vec<usize> = h.nodes().collect();
+    let nodes = h.nodes();
+    let base = nodes.start;
     let flows: Vec<_> = flows
-        .into_iter()
-        .filter(|(_, spec)| h.nodes().contains(&spec.src.index()))
+        .iter()
+        .filter(|(_, spec)| nodes.contains(&spec.src.index()))
+        .copied()
         .collect();
-    let mut pending: Vec<VecDeque<PacketSpec>> = vec![VecDeque::new(); owned.len()];
-    let mut probe = P::default();
-    let mut delivered = Vec::new();
+    let mut pending: Vec<VecDeque<PacketSpec>> = vec![VecDeque::new(); nodes.len()];
+    let mut acc = MeasureAcc::default();
     let mut injected_measured = 0u64;
-    // Replica of the sequential `measured_outstanding` counter, rebuilt
-    // each window from the shared tallies; identical on every worker.
+    // Replica of the run's measured-outstanding counter, rebuilt each
+    // window from the (shared) tallies; identical on every worker.
     let mut outstanding = 0u64;
     let mut warm_snap = None;
-    let mut meas_snap = None;
-    let mut exit_snap = None;
+    let mut end_snap = None;
     let mut window_tallies: Vec<(u64, u64)> = Vec::new();
-    let mut now = 0u64;
+    let mut now = cfg.start;
     let end_cycle;
     loop {
         // Landmark snapshots happen at window starts: windows are
         // clipped at warm_end/meas_end below, so these cycles are never
-        // interior to a window and the cell-local counters here match
-        // what the sequential loop top would have observed.
+        // interior to a window.
         if now == cfg.warm_end {
             warm_snap = Some(h.energy_snapshot());
         }
         if now == cfg.meas_end {
-            meas_snap = Some(h.energy_snapshot());
+            end_snap = Some(h.energy_snapshot());
         }
         if now >= cfg.hard_end {
             end_cycle = now;
             break;
         }
-        // After meas_end the sequential loop may exit on any cycle the
-        // outstanding count hits zero, so drop to 1-cycle windows and
-        // re-check at exactly the cadence it would.
+        // After meas_end the run may exit on any cycle the outstanding
+        // count hits zero, so drop to 1-cycle windows and re-check at
+        // exactly that cadence.
         let mut wend = now + if now >= cfg.meas_end { 1 } else { cfg.window };
         for bound in [cfg.warm_end, cfg.meas_end, cfg.hard_end] {
             if now < bound {
@@ -341,7 +384,7 @@ fn worker_loop<P: WorkerProbe>(
                     }
                 }
                 if let Some(generation) = generator.as_mut() {
-                    for &node in &owned {
+                    for node in nodes.clone() {
                         if let Some(req) = generation.next_request(t, NodeId::new(node as u16)) {
                             pending[node - base].push_back(
                                 PacketSpec::new(NodeId::new(node as u16), req.dst)
@@ -352,7 +395,7 @@ fn worker_loop<P: WorkerProbe>(
                     }
                 }
                 if let Some(m) = matrix.as_mut() {
-                    for &node in &owned {
+                    for node in nodes.clone() {
                         for req in m.requests_for(NodeId::new(node as u16)) {
                             pending[node - base].push_back(
                                 PacketSpec::new(NodeId::new(node as u16), req.dst)
@@ -364,10 +407,10 @@ fn worker_loop<P: WorkerProbe>(
                 }
             }
             let in_window = t >= cfg.warm_end && t < cfg.meas_end;
-            for &node in &owned {
+            for node in nodes.clone() {
                 let queue = &mut pending[node - base];
                 while let Some(spec) = queue.front() {
-                    match h.inject(spec, t, &mut probe) {
+                    match h.inject(spec, t, probe) {
                         Ok(_) => {
                             queue.pop_front();
                             if in_window {
@@ -380,55 +423,24 @@ fn worker_loop<P: WorkerProbe>(
                     }
                 }
             }
-            h.step_cycle(t, &mut probe, P::ENABLED);
-            for &node in &owned {
+            h.step_cycle(t, probe, cfg.sample);
+            for node in nodes.clone() {
                 for pkt in h.drain_delivered(NodeId::new(node as u16)) {
-                    if pkt.created_at >= cfg.warm_end && pkt.created_at < cfg.meas_end {
+                    if acc.on_delivered(&pkt, cfg.warm_end, cfg.meas_end) {
                         del += 1;
                     }
-                    delivered.push(pkt);
                 }
             }
             window_tallies.push((inj, del));
         }
 
-        // Publish boundary messages and this window's tallies, then
-        // wait for every cell to reach the window boundary.
-        let mut grouped: Vec<Vec<BoundaryMsg>> = (0..shards).map(|_| Vec::new()).collect();
-        for m in h.take_outbox() {
-            grouped[m.dest_cell()].push(m);
-        }
-        for (dst, msgs) in grouped.into_iter().enumerate() {
-            if !msgs.is_empty() {
-                ctx.mailboxes[dst][me].lock().unwrap().extend(msgs);
-            }
-        }
-        *ctx.tallies[me].lock().unwrap() = std::mem::take(&mut window_tallies);
-        ctx.barrier.wait();
-
-        // Apply inbound boundary traffic (source order fixes the
-        // application order) and fold everyone's tallies, cycle by
-        // cycle, into the replicated exit counter.
-        for src in 0..shards {
-            let msgs = std::mem::take(&mut *ctx.mailboxes[me][src].lock().unwrap());
-            h.apply_boundary(msgs, wend - 1);
-        }
-        let cycles = (wend - now) as usize;
-        let mut inj_sum = vec![0u64; cycles];
-        let mut del_sum = vec![0u64; cycles];
-        for w in 0..shards {
-            let tw = ctx.tallies[w].lock().unwrap();
-            for i in 0..cycles {
-                inj_sum[i] += tw[i].0;
-                del_sum[i] += tw[i].1;
-            }
-        }
-        for i in 0..cycles {
-            outstanding = (outstanding + inj_sum[i]).saturating_sub(del_sum[i]);
+        ctx.exchange(&mut h, &mut window_tallies, wend);
+        for (inj, del) in window_tallies.drain(..) {
+            outstanding = (outstanding + inj).saturating_sub(del);
         }
         let exit = wend >= cfg.hard_end || (wend >= cfg.meas_end && outstanding == 0);
-        if exit {
-            exit_snap = Some(h.energy_snapshot());
+        if exit && end_snap.is_none() {
+            end_snap = Some(h.energy_snapshot());
         }
         // Second barrier: nobody may start writing the next window's
         // mailboxes or tallies while a peer is still reading this one's.
@@ -441,21 +453,19 @@ fn worker_loop<P: WorkerProbe>(
     }
 
     WorkerOut {
-        delivered,
-        log: probe.into_log(),
+        acc,
         injected_measured,
         outstanding,
         warm_snap,
-        meas_snap,
-        exit_snap,
+        end_snap,
         end_cycle,
     }
 }
 
 /// Sums cell snapshots in cell order into one [`EnergyCounters`],
-/// reproducing the float-accumulation order of the sequential
-/// `NetworkStats::energy`. Returns `None` if any cell has no snapshot
-/// (the landmark cycle was never reached).
+/// reproducing the float-accumulation order of `Network::stats`.
+/// Returns `None` if any cell has no snapshot (the landmark cycle was
+/// never reached).
 fn sum_snaps<'a>(
     snaps: impl Iterator<Item = Option<&'a CellEnergySnapshot>>,
 ) -> Option<EnergyCounters> {

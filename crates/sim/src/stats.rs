@@ -30,6 +30,13 @@ impl Samples {
         self.sorted = false;
     }
 
+    /// Moves every sample of `other` into this collection, leaving
+    /// `other` empty.
+    pub fn append(&mut self, other: &mut Samples) {
+        self.values.append(&mut other.values);
+        self.sorted = false;
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
