@@ -10,9 +10,9 @@
 use ocin_bench::{banner, check, f1, f2, f3, quick_mode, sim_config};
 use ocin_core::bus::SharedBus;
 use ocin_core::ids::NodeId;
-use ocin_core::NetworkConfig;
+use ocin_core::{NetworkConfig, QuantileHistogram};
 use ocin_phys::{NetworkEnergyModel, SignalingScheme, Technology};
-use ocin_sim::{Samples, Simulation, Table};
+use ocin_sim::{Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Runs the bus under the same Bernoulli uniform workload; returns
@@ -23,7 +23,7 @@ fn run_bus(load: f64, cycles: u64) -> (f64, f64, f64, f64) {
     let wl = Workload::new(16, 4, TrafficPattern::Uniform)
         .injection(InjectionProcess::Bernoulli { flit_rate: load });
     let mut generation = wl.generator(5);
-    let mut lat = Samples::new();
+    let mut lat = QuantileHistogram::exact();
     for now in 0..cycles {
         for node in 0..16u16 {
             if let Some(req) = generation.next_request(now, node.into()) {
@@ -36,7 +36,7 @@ fn run_bus(load: f64, cycles: u64) -> (f64, f64, f64, f64) {
         bus.step();
         for node in 0..16u16 {
             for pkt in bus.drain_delivered(NodeId::new(node)) {
-                lat.push(pkt.latency() as f64);
+                lat.record(pkt.latency());
             }
         }
     }

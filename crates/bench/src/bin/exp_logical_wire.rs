@@ -8,10 +8,10 @@
 
 use ocin_bench::{banner, check, f1, quick_mode, sim_config};
 use ocin_core::ids::NodeId;
-use ocin_core::{Error, Network, NetworkConfig, PacketSpec};
+use ocin_core::{Error, Network, NetworkConfig, PacketSpec, QuantileHistogram};
 use ocin_phys::{SignalingScheme, Technology, WireModel};
 use ocin_services::{LogicalWireRx, LogicalWireTx};
-use ocin_sim::{Samples, Table};
+use ocin_sim::Table;
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Runs the logical wire under background load; returns (mean, p99, max)
@@ -30,7 +30,7 @@ fn run(load: f64, toggle_period: u64) -> (f64, f64, f64) {
 
     let mut state = 0u64;
     let mut sent_at: Vec<(u64, u64)> = Vec::new(); // (seq cycle, state)
-    let mut lat = Samples::new();
+    let mut lat = QuantileHistogram::exact();
     for now in 0..cycles {
         // Background traffic.
         for node in 0..16u16 {
@@ -63,12 +63,12 @@ fn run(load: f64, toggle_period: u64) -> (f64, f64, f64) {
             if rx.on_packet(&pkt, now) {
                 if let Some(pos) = sent_at.iter().position(|&(_, s)| s == rx.state()) {
                     let (t0, _) = sent_at.remove(pos);
-                    lat.push((now - t0) as f64);
+                    lat.record(now - t0);
                 }
             }
         }
     }
-    (lat.mean(), lat.percentile(99.0), lat.max())
+    (lat.mean(), lat.percentile(99.0) as f64, lat.max as f64)
 }
 
 fn main() {

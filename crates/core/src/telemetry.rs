@@ -108,8 +108,22 @@ pub struct QuantileHistogram {
 }
 
 impl QuantileHistogram {
+    /// The largest supported precision: every value below `2^63` is its
+    /// own bucket.
+    const MAX_PRECISION_BITS: u32 = 62;
+
     /// An empty histogram with `precision_bits` sub-bucket bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `precision_bits` exceeds 62, where the bucket
+    /// arithmetic would overflow.
     pub fn new(precision_bits: u32) -> QuantileHistogram {
+        assert!(
+            precision_bits <= Self::MAX_PRECISION_BITS,
+            "precision_bits {precision_bits} exceeds {}",
+            Self::MAX_PRECISION_BITS
+        );
         QuantileHistogram {
             precision: precision_bits,
             count: 0,
@@ -118,6 +132,15 @@ impl QuantileHistogram {
             max: 0,
             buckets: BTreeMap::new(),
         }
+    }
+
+    /// An empty histogram that is exact for every value below `2^63`:
+    /// each such value is its own bucket, so every statistic equals
+    /// that of the sorted samples. Only values at or above `2^63` are
+    /// quantized, and only to even numbers (half resolution). Memory is
+    /// proportional to the number of distinct values recorded.
+    pub fn exact() -> QuantileHistogram {
+        QuantileHistogram::new(Self::MAX_PRECISION_BITS)
     }
 
     /// The precision this histogram was built with.
@@ -206,6 +229,13 @@ impl QuantileHistogram {
     /// Distinct quantized buckets currently held.
     pub fn buckets_used(&self) -> usize {
         self.buckets.len()
+    }
+}
+
+impl Default for QuantileHistogram {
+    /// [`QuantileHistogram::exact`].
+    fn default() -> QuantileHistogram {
+        QuantileHistogram::exact()
     }
 }
 
@@ -853,6 +883,65 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn quantile_histogram_nearest_rank() {
+        let empty = QuantileHistogram::exact();
+        assert_eq!(
+            (empty.count, empty.sum, empty.max, empty.mean()),
+            (0, 0, 0, 0.0)
+        );
+        assert_eq!(empty.percentile(99.0), 0);
+        // Recorded out of order: the buckets sort, not the caller.
+        let mut h = QuantileHistogram::exact();
+        (1..=100u64).rev().for_each(|v| h.record(v));
+        assert_eq!((h.mean(), h.min, h.max), (50.5, 1, 100));
+        for (p, want) in [(0.0, 1), (50.0, 50), (95.0, 95), (99.0, 99), (100.0, 100)] {
+            assert_eq!(h.percentile(p), want, "p{p}");
+        }
+        // Duplicates and singletons.
+        let mut dup = QuantileHistogram::exact();
+        [4, 4, 4, 2, 4].into_iter().for_each(|v| dup.record(v));
+        assert_eq!((dup.percentile(10.0), dup.percentile(50.0)), (2, 4));
+        let mut one = QuantileHistogram::exact();
+        one.record(3);
+        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
+            assert_eq!(one.percentile(p), 3);
+        }
+        // Recording after a query still answers correctly.
+        one.record(0);
+        assert_eq!((one.percentile(0.0), one.percentile(100.0)), (0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile out of range")]
+    fn quantile_histogram_rejects_bad_percentile() {
+        QuantileHistogram::exact().percentile(101.0);
+    }
+
+    #[test]
+    fn quantile_histogram_exact_has_no_horizon() {
+        // 200 000 is past the exact region of CLASS_PRECISION_BITS.
+        assert_eq!(
+            QuantileHistogram::new(CLASS_PRECISION_BITS).bucket_floor(200_001),
+            200_000
+        );
+        let mut h = QuantileHistogram::exact();
+        for v in [200_000, 200_001, (1 << 63) - 1] {
+            h.record(v);
+            assert_eq!(h.bucket_floor(v), v);
+        }
+        assert!(h.is_exact());
+        assert_eq!((h.percentile(0.0), h.percentile(50.0)), (200_000, 200_001));
+        // At 2^63 and above the resolution halves.
+        assert_eq!(h.bucket_floor(u64::MAX), u64::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "precision_bits 63 exceeds 62")]
+    fn quantile_histogram_rejects_overflowing_precision() {
+        QuantileHistogram::new(63);
     }
 
     #[test]

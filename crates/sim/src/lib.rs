@@ -44,6 +44,6 @@ pub use multichip::{GlobalDelivery, MultiChipSim};
 pub use pool::{derive_seed, PointSpec, SimPool};
 pub use runner::{SimConfig, SimReport, Simulation};
 pub use shard::{shards_from_env, ShardedSimulation};
-pub use stats::{LatencyReport, Samples};
+pub use stats::LatencyReport;
 pub use sweep::{LoadPoint, LoadSweep};
 pub use table::Table;

@@ -7,10 +7,10 @@ use ocin_core::interface::DeliveredPacket;
 use ocin_core::network::{EnergyCounters, Network};
 use ocin_core::probe::{NetworkMetrics, ProbeConfig};
 use ocin_core::reservation::StaticFlowSpec;
-use ocin_core::{Error, NetworkConfig};
+use ocin_core::{Error, NetworkConfig, QuantileHistogram};
 use ocin_traffic::{MatrixGenerator, TrafficMatrix, Workload, WorkloadGenerator};
 
-use crate::stats::{LatencyReport, Samples};
+use crate::stats::LatencyReport;
 
 /// Simulation phases, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,18 +110,16 @@ pub struct SimReport {
     pub metrics: Option<NetworkMetrics>,
 }
 
-/// Measurement-window accumulator: one per run-loop worker, merged in
-/// cell order when the run ends. Every statistic the report draws from
-/// it is independent of the order samples arrive in — percentiles sort
-/// their samples, min, max and count are order-free, and the means are
-/// sums of integer-valued `f64` latencies, exact in any order below
-/// 2^53 — so the report is bit-identical at any cell count.
+/// Measurement-window accumulator: one per run-loop worker, merged when
+/// the run ends. Latencies go into exact [`QuantileHistogram`]s, and
+/// equal multisets of samples give equal histograms, so the report is
+/// bit-identical at any cell count and merge order.
 #[derive(Debug, Default)]
 pub(crate) struct MeasureAcc {
-    pub(crate) lat_net: Samples,
-    pub(crate) lat_total: Samples,
-    pub(crate) class_samples: BTreeMap<u8, Samples>,
-    pub(crate) flow_samples: BTreeMap<FlowId, Samples>,
+    pub(crate) lat_net: QuantileHistogram,
+    pub(crate) lat_total: QuantileHistogram,
+    pub(crate) class_latency: BTreeMap<u8, QuantileHistogram>,
+    pub(crate) flow_latency: BTreeMap<FlowId, QuantileHistogram>,
     pub(crate) delivered_flits: u64,
     pub(crate) delivered_packets: u64,
 }
@@ -145,36 +143,28 @@ impl MeasureAcc {
             return false;
         }
         self.delivered_packets += 1;
-        self.lat_net.push(pkt.network_latency() as f64);
-        self.lat_total.push(pkt.total_latency() as f64);
-        self.class_samples
+        let net = pkt.network_latency();
+        self.lat_net.record(net);
+        self.lat_total.record(pkt.total_latency());
+        self.class_latency
             .entry(pkt.class.priority())
             .or_default()
-            .push(pkt.network_latency() as f64);
+            .record(net);
         if let Some(f) = pkt.flow {
-            self.flow_samples
-                .entry(f)
-                .or_default()
-                .push(pkt.network_latency() as f64);
+            self.flow_latency.entry(f).or_default().record(net);
         }
         true
     }
 
     /// Folds another worker's accumulator into this one.
-    pub(crate) fn merge(&mut self, mut other: MeasureAcc) {
-        self.lat_net.append(&mut other.lat_net);
-        self.lat_total.append(&mut other.lat_total);
-        for (class, mut samples) in other.class_samples {
-            self.class_samples
-                .entry(class)
-                .or_default()
-                .append(&mut samples);
+    pub(crate) fn merge(&mut self, other: &MeasureAcc) {
+        self.lat_net.merge(&other.lat_net);
+        self.lat_total.merge(&other.lat_total);
+        for (class, h) in &other.class_latency {
+            self.class_latency.entry(*class).or_default().merge(h);
         }
-        for (flow, mut samples) in other.flow_samples {
-            self.flow_samples
-                .entry(flow)
-                .or_default()
-                .append(&mut samples);
+        for (flow, h) in &other.flow_latency {
+            self.flow_latency.entry(*flow).or_default().merge(h);
         }
         self.delivered_flits += other.delivered_flits;
         self.delivered_packets += other.delivered_packets;
@@ -199,7 +189,7 @@ pub(crate) fn assemble_report(
     net: &Network,
     cfg: &SimConfig,
     offered_rate: f64,
-    acc: &mut MeasureAcc,
+    acc: &MeasureAcc,
     totals: RunTotals,
     metrics: Option<NetworkMetrics>,
 ) -> SimReport {
@@ -225,22 +215,22 @@ pub(crate) fn assemble_report(
         window: cfg.measure_cycles,
         offered_flit_rate: offered_rate,
         accepted_flit_rate: acc.delivered_flits as f64 / (n as f64 * cfg.measure_cycles as f64),
-        network_latency: acc.lat_net.report(),
-        total_latency: acc.lat_total.report(),
+        network_latency: LatencyReport::from_quantiles(&acc.lat_net),
+        total_latency: LatencyReport::from_quantiles(&acc.lat_total),
         class_latency: acc
-            .class_samples
-            .iter_mut()
-            .map(|(k, v)| (*k, v.report()))
+            .class_latency
+            .iter()
+            .map(|(k, h)| (*k, LatencyReport::from_quantiles(h)))
             .collect(),
         flow_jitter: acc
-            .flow_samples
+            .flow_latency
             .iter()
-            .map(|(k, v)| (*k, v.spread()))
+            .map(|(k, h)| (*k, (h.max - h.min) as f64))
             .collect(),
         flow_latency: acc
-            .flow_samples
-            .iter_mut()
-            .map(|(k, v)| (*k, v.report()))
+            .flow_latency
+            .iter()
+            .map(|(k, h)| (*k, LatencyReport::from_quantiles(h)))
             .collect(),
         packets_delivered: acc.delivered_packets,
         packets_injected: injected_packets,

@@ -23,8 +23,9 @@
 //!   exactly the draws a single cell would have made for its nodes
 //!   (the first cell drives the original);
 //! * each worker folds its deliveries into its own measurement
-//!   accumulator; the report's statistics do not depend on sample order
-//!   (see `MeasureAcc`), so the accumulators merge in cell order;
+//!   accumulator of exact latency histograms; equal multisets of
+//!   samples give equal histograms (see `MeasureAcc`), so the merged
+//!   accumulator does not depend on which cell saw which packet;
 //! * probe callbacks of several cells are recorded per worker into
 //!   [`LogProbe`] event logs and replayed through one [`NetworkProbe`]
 //!   in single-cell order by [`replay_logs`]; a lone cell drives the
@@ -153,23 +154,12 @@ pub(crate) fn run_cells(sim: &mut Simulation, shards: usize) -> SimReport {
         energy_start,
         energy_end,
     };
-    // Every report statistic is independent of sample order (see
-    // `MeasureAcc`), so the cells' accumulators simply concatenate onto
-    // the first (a lone cell's moves over without a copy).
-    let mut accs = outs.into_iter().map(|o| o.acc);
-    let mut acc = accs.next().expect("a network has at least one cell");
-    for other in accs {
-        acc.merge(other);
+    let mut acc = MeasureAcc::default();
+    for o in &outs {
+        acc.merge(&o.acc);
     }
     let metrics = probe.map(|p| p.into_metrics(end_cycle));
-    assemble_report(
-        &sim.net,
-        &sim.cfg,
-        sim.offered_rate,
-        &mut acc,
-        totals,
-        metrics,
-    )
+    assemble_report(&sim.net, &sim.cfg, sim.offered_rate, &acc, totals, metrics)
 }
 
 /// Steps every cell of `sim`'s network to the end of the run, each on

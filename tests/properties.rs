@@ -5,8 +5,8 @@ use ocin::core::flit::{Payload, SizeCode};
 use ocin::core::ids::NodeId;
 use ocin::core::route::SourceRoute;
 use ocin::core::{
-    Error, FoldedTorus2D, Mesh2D, Network, NetworkConfig, PacketSpec, ReservationTable, Ring,
-    StaticFlowSpec, Topology, TopologySpec,
+    Error, FoldedTorus2D, Mesh2D, Network, NetworkConfig, PacketSpec, QuantileHistogram,
+    ReservationTable, Ring, StaticFlowSpec, Topology, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -239,5 +239,63 @@ proptest! {
             let node = NodeId::new(i as u16);
             prop_assert_eq!(topo.node_at(topo.coord(node)), node);
         }
+    }
+}
+
+/// Latency-like samples: short packet latencies, values around and past
+/// the 2^17-cycle exact horizon of the per-class telemetry histograms,
+/// and large values up to 2^40.
+fn latency_samples() -> impl Strategy<Value = Vec<u64>> {
+    let value = prop_oneof![0u64..300, 100_000u64..300_000, 0u64..(1 << 40)];
+    proptest::collection::vec(value, 0..200)
+}
+
+/// The nearest-rank `p`-th percentile of sorted `values` (0 when empty).
+fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `QuantileHistogram::exact` summarizes any sample multiset exactly
+    /// as sorting the raw samples does, and merging the histograms of
+    /// any split of the samples equals recording all of them.
+    #[test]
+    fn exact_histogram_matches_sorted_samples(values in latency_samples(), cut in 0usize..200) {
+        let mut all = QuantileHistogram::exact();
+        for &v in &values {
+            all.record(v);
+        }
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        prop_assert_eq!(all.count, n as u64);
+        prop_assert_eq!(all.sum, sorted.iter().sum::<u64>());
+        if let (Some(&lo), Some(&hi)) = (sorted.first(), sorted.last()) {
+            prop_assert_eq!((all.min, all.max), (lo, hi));
+        }
+        // The mean of the same values summed as f64 in arrival order.
+        let mean = if n == 0 {
+            0.0
+        } else {
+            values.iter().map(|&v| v as f64).sum::<f64>() / n as f64
+        };
+        prop_assert_eq!(all.mean().to_bits(), mean.to_bits());
+        for p in [0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0] {
+            prop_assert_eq!(all.percentile(p), nearest_rank(&sorted, p), "p{}", p);
+        }
+
+        let (a, b) = values.split_at(cut.min(n));
+        let mut left = QuantileHistogram::exact();
+        let mut right = QuantileHistogram::exact();
+        a.iter().for_each(|&v| left.record(v));
+        b.iter().for_each(|&v| right.record(v));
+        left.merge(&right);
+        prop_assert_eq!(left, all);
     }
 }
